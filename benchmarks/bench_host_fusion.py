@@ -20,6 +20,13 @@ Measures, on real NumPy execution (no modelled costs):
   in-bench byte-identity assertion on the two reports
   (``audit_parallel`` section; core-aware gate in ``check_bench.py``).
 
+Every timed case makes one untimed warm-up call, then ``repeats`` timed
+calls, and records their median (the plain ``*_seconds`` key) and
+interquartile range (the same key with an ``_iqr`` suffix).  A ratio of
+two timings carries a propagated spread: its relative IQR is the sum of
+the two operands' relative IQRs.  ``tools/check_bench.py`` gates on the
+medians and flags every case whose relative spread exceeds its threshold.
+
 Appends one entry to the ``runs`` trajectory in ``BENCH_host_fusion.json``
 (repo root by default) so successive PRs can track the speedups.  Exits
 non-zero if the fused path is slower than the unfused path — the CI gate.
@@ -32,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -47,14 +55,29 @@ def _host_fingerprint() -> dict:
     return host_fingerprint()
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Best (minimum) wall-clock of ``repeats`` calls — noise-robust."""
-    best = float("inf")
+def _timed(fn, repeats: int) -> tuple[float, float]:
+    """``(median, IQR)`` wall-clock seconds of ``repeats`` calls after one
+    untimed warm-up call."""
+    fn()
+    samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        samples.append(time.perf_counter() - t0)
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q3 - q1
+
+
+def _ratio(num: tuple[float, float], den: tuple[float, float]):
+    """``(num / den, spread)`` of two ``(median, IQR)`` timings; the
+    relative spread is the sum of the operands' relative IQRs."""
+    ratio = num[0] / den[0]
+    return ratio, ratio * (num[1] / num[0] + den[1] / den[0])
+
+
+def _record(out: dict, key: str, value: tuple[float, float]) -> None:
+    """Store a ``(median, IQR)`` pair as ``key`` and ``key_iqr``."""
+    out[key], out[f"{key}_iqr"] = value
 
 
 def _make_pair(shape, seed=0, rel_noise=1e-3):
@@ -76,20 +99,19 @@ def bench_fused(shape, repeats):
     orig, dec = _make_pair(shape)
     fused_cfg = replace(default_config(), fused=True)
     unfused_cfg = replace(default_config(), fused=False)
-    t_fused = _best_of(
+    t_fused = _timed(
         lambda: compare_data(orig, dec, config=fused_cfg, with_baselines=False),
         repeats,
     )
-    t_unfused = _best_of(
+    t_unfused = _timed(
         lambda: compare_data(orig, dec, config=unfused_cfg, with_baselines=False),
         repeats,
     )
-    return {
-        "shape": list(shape),
-        "fused_seconds": t_fused,
-        "unfused_seconds": t_unfused,
-        "speedup": t_unfused / t_fused,
-    }
+    out = {"shape": list(shape)}
+    _record(out, "fused_seconds", t_fused)
+    _record(out, "unfused_seconds", t_unfused)
+    _record(out, "speedup", _ratio(t_unfused, t_fused))
+    return out
 
 
 def bench_parallel(shape, n_fields, repeats, executor=None):
@@ -106,12 +128,14 @@ def bench_parallel(shape, n_fields, repeats, executor=None):
         if executor == "process" and w > 1:
             # spawn + import up front so the timed region is steady-state
             warm_process_pool(w)
-        t = _best_of(
+        t = _timed(
             lambda w=w: parallel_compare_pairs(pairs, workers=w, executor=executor),
             repeats,
         )
         t1 = t1 if t1 is not None else t
-        out["workers"][str(w)] = {"seconds": t, "speedup_vs_1": t1 / t}
+        row = out["workers"][str(w)] = {}
+        _record(row, "seconds", t)
+        _record(row, "speedup_vs_1", _ratio(t1, t))
     return out
 
 
@@ -130,14 +154,16 @@ def bench_slab(shape, repeats, executor=None):
     for w in (1, 2, 4):
         if executor == "process" and w > 1:
             warm_process_pool(w)
-        t = _best_of(
+        t = _timed(
             lambda w=w: parallel_stream_field(
                 orig, dec, ssim=cfg, workers=w, executor=executor
             ),
             repeats,
         )
         t1 = t1 if t1 is not None else t
-        out["workers"][str(w)] = {"seconds": t, "speedup_vs_1": t1 / t}
+        row = out["workers"][str(w)] = {}
+        _record(row, "seconds", t)
+        _record(row, "speedup_vs_1", _ratio(t1, t))
     return out
 
 
@@ -149,20 +175,18 @@ def bench_ssim(shape, repeats):
     orig, dec = _make_pair(shape, seed=99)
     cfg = SsimConfig(window=6, step=2)
     # the sliding path is sub-millisecond here — without many repeats its
-    # best-of (and so the gated ratio) swings tens of percent run to run
-    t_sliding = _best_of(lambda: ssim3d(orig, dec, cfg), max(repeats, 10))
-    t_naive = _best_of(lambda: ssim3d_naive(orig, dec, cfg), 2)
+    # median (and so the gated ratio) swings tens of percent run to run
+    t_sliding = _timed(lambda: ssim3d(orig, dec, cfg), max(repeats, 10))
+    t_naive = _timed(lambda: ssim3d_naive(orig, dec, cfg), 2)
     a = ssim3d(orig, dec, cfg).ssim
     b = ssim3d_naive(orig, dec, cfg).ssim
     if not math.isclose(a, b, rel_tol=1e-9):
         raise SystemExit(f"sliding SSIM {a} != naive SSIM {b}")
-    return {
-        "shape": list(shape),
-        "sliding_seconds": t_sliding,
-        "naive_seconds": t_naive,
-        "speedup": t_naive / t_sliding,
-        "ssim": a,
-    }
+    out = {"shape": list(shape), "ssim": a}
+    _record(out, "sliding_seconds", t_sliding)
+    _record(out, "naive_seconds", t_naive)
+    _record(out, "speedup", _ratio(t_naive, t_sliding))
+    return out
 
 
 def bench_tiled(shape, repeats, quick):
@@ -195,10 +219,10 @@ def bench_tiled(shape, repeats, quick):
         return compare_data(orig, dec, config=cfg, with_baselines=False)
 
     # the gated quantity is a ratio of two short measurements — extra
-    # best-of repeats keep its run-to-run spread inside the gate margin
+    # repeats keep its run-to-run spread inside the gate margin
     repeats = max(repeats, 5)
-    t_tiled = _best_of(lambda: _run(tiled_cfg), repeats)
-    t_whole = _best_of(lambda: _run(whole_cfg), repeats)
+    t_tiled = _timed(lambda: _run(tiled_cfg), repeats)
+    t_whole = _timed(lambda: _run(whole_cfg), repeats)
 
     def _peak(cfg):
         default_scratch_pool().clear()
@@ -211,11 +235,11 @@ def bench_tiled(shape, repeats, quick):
 
     peak_tiled = _peak(tiled_cfg)
     peak_whole = _peak(whole_cfg)
-    return {
-        "shape": list(shape),
-        "tiled_seconds": t_tiled,
-        "whole_seconds": t_whole,
-        "speedup": t_whole / t_tiled,
+    out = {"shape": list(shape)}
+    _record(out, "tiled_seconds", t_tiled)
+    _record(out, "whole_seconds", t_whole)
+    _record(out, "speedup", _ratio(t_whole, t_tiled))
+    return out | {
         "peak_tiled_mb": peak_tiled / 2**20,
         "peak_whole_mb": peak_whole / 2**20,
         "peak_ratio": peak_tiled / peak_whole,
@@ -259,30 +283,24 @@ def bench_audit(shape, n_bundles, repeats):
                 codec="zlib",
             )
         out = root / "report.json"
-        t_serial = _best_of(
+        t_serial = _timed(
             lambda: run_audit(root, out_path=out, workers="serial"), repeats
         )
         serial_bytes = out.read_bytes()
-        result = {
-            "shape": list(shape),
-            "n_bundles": n_bundles,
-            "codec": "zlib",
-            "serial_seconds": t_serial,
-        }
+        result = {"shape": list(shape), "n_bundles": n_bundles, "codec": "zlib"}
+        _record(result, "serial_seconds", t_serial)
         if process_available():
             warm_process_pool(2)
-            t_parallel = _best_of(
+            t_parallel = _timed(
                 lambda: run_audit(root, out_path=out, workers=2), repeats
             )
             if out.read_bytes() != serial_bytes:
                 raise SystemExit(
                     "parallel audit report differs from the serial report"
                 )
-            result.update(
-                workers=2,
-                parallel_seconds=t_parallel,
-                speedup_vs_serial=t_serial / t_parallel,
-            )
+            result["workers"] = 2
+            _record(result, "parallel_seconds", t_parallel)
+            _record(result, "speedup_vs_serial", _ratio(t_serial, t_parallel))
         return result
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -322,13 +340,14 @@ def bench_dispatch(shapes, repeats):
         # enumerate uncalibrated for this shape
         candidates = choose(build_plan(base_cfg), shape, itemsize).candidates
         statics = {}
+        spreads = {}
         observations = {}
         for cand in candidates:
             tiling = "off" if cand.slab is None else int(cand.slab)
             cfg = replace(base_cfg, backend=cand.backend, tiling=tiling)
             splan = build_plan(cfg, shape=shape, itemsize=itemsize)
             tracer = Tracer()
-            statics[cand.label] = _best_of(
+            statics[cand.label], spreads[cand.label] = _timed(
                 lambda: splan.execute(orig, dec, tracer=tracer), repeats
             )
             for key, measured, base in calibration_observations(tracer.spans):
@@ -342,22 +361,21 @@ def bench_dispatch(shapes, repeats):
 
         adaptive_cfg = replace(base_cfg, calibration=tmp)
         aplan = build_plan(adaptive_cfg, shape=shape, itemsize=itemsize)
-        t_adaptive = _best_of(lambda: aplan.execute(orig, dec), repeats)
+        t_adaptive = _timed(lambda: aplan.execute(orig, dec), repeats)
         chosen = aplan.decision.chosen.label
         best_label = min(statics, key=statics.get)
-        best_seconds = statics[best_label]
-        cases.append(
-            {
-                "shape": list(shape),
-                "statics": statics,
-                "best_static": best_label,
-                "best_static_seconds": best_seconds,
-                "adaptive_chosen": chosen,
-                "adaptive_seconds": t_adaptive,
-                "adaptive_vs_best": t_adaptive / best_seconds,
-                "matched_best": chosen == best_label,
-            }
-        )
+        t_best = statics[best_label], spreads[best_label]
+        case = {
+            "shape": list(shape),
+            "statics": statics,
+            "best_static": best_label,
+            "adaptive_chosen": chosen,
+            "matched_best": chosen == best_label,
+        }
+        _record(case, "best_static_seconds", t_best)
+        _record(case, "adaptive_seconds", t_adaptive)
+        _record(case, "adaptive_vs_best", _ratio(t_adaptive, t_best))
+        cases.append(case)
     os.unlink(tmp)
     return {"cases": cases}
 
@@ -378,14 +396,14 @@ def main(argv=None) -> int:
         shape, par_shape, slab_shape = (16, 64, 64), (12, 48, 48), (32, 48, 48)
         tiled_shape = (24, 64, 64)
         dispatch_shapes = [(16, 64, 64)]
-        n_fields, repeats = 3, 2
+        n_fields, repeats = 3, 5
     else:
         shape, par_shape, slab_shape = (32, 128, 128), (16, 80, 80), (64, 96, 96)
         tiled_shape = (64, 256, 256)
         # second case sits above the auto-tiling floor so slab candidates
         # join the static sweep
         dispatch_shapes = [(32, 128, 128), (64, 192, 192)]
-        n_fields, repeats = 4, 3
+        n_fields, repeats = 4, 5
 
     try:
         avail_cores = len(os.sched_getaffinity(0))
@@ -394,6 +412,7 @@ def main(argv=None) -> int:
 
     entry = {
         "quick": args.quick,
+        "repeats": repeats,
         "cpu_count": os.cpu_count(),
         "avail_cores": avail_cores,
         "fused": bench_fused(shape, repeats),
@@ -405,7 +424,7 @@ def main(argv=None) -> int:
         "audit_parallel": bench_audit(
             (16, 48, 48) if args.quick else (32, 96, 96),
             n_bundles=4,
-            repeats=max(repeats - 1, 1),
+            repeats=max(repeats - 1, 2),
         ),
     }
 
@@ -416,14 +435,17 @@ def main(argv=None) -> int:
             par_shape, n_fields, repeats, executor="process"
         )
         entry["slab_process"] = bench_slab(slab_shape, repeats, executor="process")
-        # how processes compare to the GIL-bound thread pool on this host,
+        # how processes compare to the thread pool on this host,
         # measured in the same run
         for proc_key, thread_key in (
             ("parallel_process", "parallel"), ("slab_process", "slab"),
         ):
-            t_thread = entry[thread_key]["workers"]["4"]["seconds"]
-            t_proc = entry[proc_key]["workers"]["4"]["seconds"]
-            entry[proc_key]["vs_thread_x4"] = t_thread / t_proc
+            x4_thread = entry[thread_key]["workers"]["4"]
+            x4_proc = entry[proc_key]["workers"]["4"]
+            _record(entry[proc_key], "vs_thread_x4", _ratio(
+                (x4_thread["seconds"], x4_thread["seconds_iqr"]),
+                (x4_proc["seconds"], x4_proc["seconds_iqr"]),
+            ))
 
     host = _host_fingerprint()
     for section in entry.values():
@@ -442,15 +464,17 @@ def main(argv=None) -> int:
     f = entry["fused"]
     print(
         f"fused {f['fused_seconds']:.3f}s vs unfused {f['unfused_seconds']:.3f}s "
-        f"-> {f['speedup']:.2f}x"
+        f"-> {f['speedup']:.2f}x (IQR {f['speedup_iqr']:.2f})"
     )
     for w, row in entry["parallel"]["workers"].items():
-        print(f"parallel x{w}: {row['seconds']:.3f}s ({row['speedup_vs_1']:.2f}x)")
+        print(f"parallel x{w}: {row['seconds']:.3f}s ({row['speedup_vs_1']:.2f}x, "
+              f"IQR {row['speedup_vs_1_iqr']:.2f})")
     for key in ("parallel_process", "slab_process"):
         if key not in entry:
             continue
         for w, row in entry[key]["workers"].items():
-            print(f"{key} x{w}: {row['seconds']:.3f}s ({row['speedup_vs_1']:.2f}x)")
+            print(f"{key} x{w}: {row['seconds']:.3f}s ({row['speedup_vs_1']:.2f}x, "
+                  f"IQR {row['speedup_vs_1_iqr']:.2f})")
         print(f"{key} vs thread x4: {entry[key]['vs_thread_x4']:.2f}x "
               f"({entry['avail_cores']} usable cores)")
     s = entry["ssim"]

@@ -43,6 +43,7 @@ from repro.metrics.properties import (
 )
 from repro.metrics.pwr_error import PwrErrorStats
 from repro.metrics.rate_distortion import RateDistortion
+from repro.metrics.reductions import dot
 
 __all__ = [
     "MetricWorkspace",
@@ -390,35 +391,30 @@ class MetricWorkspace:
         )
 
     def pearson(self) -> float:
-        """Pearson correlation from the cached arrays (one centred pass)."""
+        """Pearson correlation from centred copies of the cached arrays.
+
+        The centred fields live in pooled buffers when the workspace has
+        a :class:`ScratchPool` and in two fresh arrays otherwise; the
+        three moments are BLAS-free dot products either way.
+        """
 
         def build():
             mean_d = self.moments["sum_d"] / self.n
             if self._scratch is None:
-                co = self.o64 - self.mean_o
-                cd = self.d64 - mean_d
-                so = math.sqrt(float(np.mean(co * co)))
-                sd = math.sqrt(float(np.mean(cd * cd)))
-                if so == 0.0 or sd == 0.0:
-                    if np.array_equal(self.o64, self.d64):
-                        return 1.0
-                    return float("nan")
-                return float(np.mean(co * cd)) / (so * sd)
-            # pooled path: centred fields in reused buffers, moments via
-            # dot products — no temporaries beyond the two buffers
-            co = self._scratch.get("ws.centered_o", self.shape)
-            cd = self._scratch.get("ws.centered_d", self.shape)
+                co = np.empty(self.shape)
+                cd = np.empty(self.shape)
+            else:
+                co = self._scratch.get("ws.centered_o", self.shape)
+                cd = self._scratch.get("ws.centered_d", self.shape)
             np.subtract(self.o64, self.mean_o, out=co)
             np.subtract(self.d64, mean_d, out=cd)
-            cof = co.reshape(-1)
-            cdf = cd.reshape(-1)
-            so = math.sqrt(float(np.dot(cof, cof)) / self.n)
-            sd = math.sqrt(float(np.dot(cdf, cdf)) / self.n)
+            so = math.sqrt(dot(co, co) / self.n)
+            sd = math.sqrt(dot(cd, cd) / self.n)
             if so == 0.0 or sd == 0.0:
                 if np.array_equal(self.o64, self.d64):
                     return 1.0
                 return float("nan")
-            return float(np.dot(cof, cdf)) / self.n / (so * sd)
+            return dot(co, cd) / self.n / (so * sd)
 
         return self._get("pearson", build)
 

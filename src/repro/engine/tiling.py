@@ -47,6 +47,7 @@ from repro.kernels.pattern2 import Pattern2Result, stencil_fields_local
 from repro.metrics.derivatives import DerivativeComparison
 from repro.metrics.error_stats import Pdf
 from repro.metrics.properties import DEFAULT_ENTROPY_BINS
+from repro.metrics.reductions import dot
 
 __all__ = [
     "AUTO_MIN_BYTES",
@@ -221,11 +222,11 @@ class TileAccumulator:
         self.max_e = max(self.max_e, float(err.max()))
         self.sum_e += float(ef.sum())
         self.sum_abs_e += float(np.abs(ef).sum())
-        self.sum_sq_e += float(np.dot(ef, ef))
+        self.sum_sq_e += dot(ef, ef)
         self.min_o = min(self.min_o, float(o64.min()))
         self.max_o = max(self.max_o, float(o64.max()))
         self.sum_o += float(of.sum())
-        self.sum_sq_o += float(np.dot(of, of))
+        self.sum_sq_o += dot(of, of)
         self.sum_d += float(df.sum())
         mask = np.abs(of) > self.pwr_floor
         if mask.any():
@@ -273,11 +274,7 @@ class TileAccumulator:
         sz = later[:, : ny - tau, : nx - tau]
         sy = core[:, tau:, : nx - tau]
         sx = core[:, : ny - tau, tau:]
-        self.ac_ab[tau] += (
-            np.einsum("ijk,ijk->", c, sz)
-            + np.einsum("ijk,ijk->", c, sy)
-            + np.einsum("ijk,ijk->", c, sx)
-        )
+        self.ac_ab[tau] += dot(c, sz) + dot(c, sy) + dot(c, sx)
         self.ac_a[tau] += float(c.sum())
         self.ac_b[tau] += float(sz.sum()) + float(sy.sum()) + float(sx.sum())
         self.ac_n[tau] += c.size
@@ -623,9 +620,9 @@ class TiledAssessment:
                 db -= mean_d
                 co = eb.reshape(-1)
                 cd = db.reshape(-1)
-                self._co_oo += float(np.dot(co, co))
-                self._co_dd += float(np.dot(cd, cd))
-                self._co_od += float(np.dot(co, cd))
+                self._co_oo += dot(co, co)
+                self._co_dd += dot(cd, cd)
+                self._co_od += dot(co, cd)
             self._count_slab(rows, rows)
 
         if self.want_pdfs:

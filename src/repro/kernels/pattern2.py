@@ -36,6 +36,7 @@ from repro.metrics.derivatives import (
     DerivativeComparison,
     field_comparison,
 )
+from repro.metrics.reductions import dot
 
 __all__ = [
     "Pattern2Config",
@@ -363,7 +364,7 @@ def _fused_autocorr(
 ) -> np.ndarray:
     """Whole-volume Eq. (2) autocorrelation with no per-lag temporaries.
 
-    The three directional cross-products are evaluated as einsum dot
+    The three directional cross-products are evaluated as BLAS-free dot
     products over strided views, so nothing beyond the centred error is
     materialised — the host analogue of the kernel accumulating all three
     shifted reads from the staged cube in registers.  Summation order
@@ -382,13 +383,9 @@ def _fused_autocorr(
         sz = c[tau:, : ny - tau, : nx - tau]
         sy = c[: nz - tau, tau:, : nx - tau]
         sx = c[: nz - tau, : ny - tau, tau:]
-        acc = (
-            np.einsum("ijk,ijk->", core, sz)
-            + np.einsum("ijk,ijk->", core, sy)
-            + np.einsum("ijk,ijk->", core, sx)
-        )
+        acc = dot(core, sz) + dot(core, sy) + dot(core, sx)
         ne = (nz - tau) * (ny - tau) * (nx - tau)
-        out[tau] = float(acc) / 3.0 / ne / var
+        out[tau] = acc / 3.0 / ne / var
     return out
 
 

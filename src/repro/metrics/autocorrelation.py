@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.metrics.reductions import dot
 
 __all__ = ["spatial_autocorrelation", "series_autocorrelation"]
 
@@ -64,9 +65,7 @@ def spatial_autocorrelation(error: np.ndarray, max_lag: int = 10) -> np.ndarray:
         # only the final three-way add differs from the naive grouping
         # (verified within 1e-12 relative in tests)
         acc = (
-            np.einsum("ijk,ijk->", core, shift_z)
-            + np.einsum("ijk,ijk->", core, shift_y)
-            + np.einsum("ijk,ijk->", core, shift_x)
+            dot(core, shift_z) + dot(core, shift_y) + dot(core, shift_x)
         ) / 3.0
         out[i + 1] = acc / ne[i] / var
     return out
@@ -84,7 +83,7 @@ def _series_direct(c: np.ndarray, n: int, var: float, max_lag: int) -> np.ndarra
     out = np.empty(max_lag + 1)
     out[0] = 1.0
     for k in range(1, max_lag + 1):
-        out[k] = float(np.dot(c[:-k], c[k:])) / (n * var)
+        out[k] = dot(c[:-k], c[k:]) / (n * var)
     return out
 
 

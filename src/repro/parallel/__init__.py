@@ -5,8 +5,9 @@ service additionally has to saturate the *host* — many fields per
 application, many applications per batch.  Two pool kinds back every
 driver (``executor=`` selects one; ``"auto"`` picks for the host):
 
-* **threads** share the input arrays zero-copy but serialise on the GIL
-  for the NumPy reductions that hold it — kept as the portable fallback;
+* **threads** share the input arrays zero-copy; NumPy's heavy loops
+  release the GIL, so they scale once the maths starts no BLAS threads
+  of its own (:func:`repro.metrics.reductions.dot`);
 * **processes** attach to fields published via
   :mod:`repro.parallel.shm` — the job queue carries
   :class:`~repro.parallel.shm.SharedField` handles (name/shape/dtype,

@@ -1,15 +1,21 @@
 """Serial / thread / process execution of whole-dataset assessments.
 
-One task per field.  The historical thread pool shares input arrays
-zero-copy but serialises on the GIL for the NumPy reductions that hold
-it, so on most hosts it *loses* to serial (the 0.76x oversubscription
-finding in EXPERIMENTS.md).  The process executor fixes that: a
-spawn-safe :class:`~concurrent.futures.ProcessPoolExecutor` whose
-workers attach to fields published via
-:mod:`repro.parallel.shm` — the job queue carries
+One task per field.  The thread pool shares input arrays zero-copy.
+The process executor is a spawn-safe
+:class:`~concurrent.futures.ProcessPoolExecutor` whose workers attach to
+fields published via :mod:`repro.parallel.shm` — the job queue carries
 :class:`~repro.parallel.shm.SharedField` handles (name/shape/dtype),
 never array bytes, so each worker reads the same physical pages the
 driver published and runs its assessment on a core of its own.
+
+Both pools used to lose to serial on a 2-core host, which was blamed on
+the GIL.  The measured cause was nested parallelism: dot-product
+reductions ran on OpenBLAS's threaded ``ddot``, whose threads spun on
+the core the other worker needed: on 2 cores, each of two concurrent
+workers took 97 ms per 16x80x80 pair with BLAS dots and 39 ms without.
+The assessment maths now runs no BLAS threads of its own
+(:func:`repro.metrics.reductions.dot`), so the pool is the only level of
+parallelism, one worker per core.
 
 Reports are inserted in the dataset's field order whatever order tasks
 finish in, so parallel batches compare equal to serial ones — and the
@@ -63,7 +69,9 @@ def _available_cores() -> int:
     subset, and oversubscribing a single core with pool workers is a
     measured slowdown (0.76x at 2 workers on a 1-core host — the pool
     adds dispatch overhead with no parallelism to buy it back; see
-    EXPERIMENTS.md).
+    EXPERIMENTS.md).  One worker per available core is the whole budget:
+    the assessment maths starts no BLAS threads that would compete with
+    the workers for these cores.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
@@ -110,7 +118,7 @@ def auto_workers(
     pool is built at all.  For the process executor the count is
     additionally clamped by available RAM: shared segments and each
     worker's float64 intermediates are real memory, and a pool the host
-    cannot back just trades the GIL for swap.
+    cannot back just trades cores for swap.
     """
     cores = _available_cores()
     workers = cores if n_tasks is None else max(1, min(cores, n_tasks))
@@ -549,7 +557,7 @@ def parallel_assess_dataset(
 
     Fans one compress+assess task per field across ``workers`` (threads
     by default; ``executor="process"`` publishes each field over shared
-    memory and farms it to a spawn pool, sidestepping the GIL).  With
+    memory and farms it to a spawn pool).  With
     ``on_error="record"``, a failing field becomes an entry in
     :attr:`~repro.core.batch.BatchAssessment.errors` instead of crashing
     the batch.

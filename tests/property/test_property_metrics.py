@@ -14,6 +14,7 @@ from repro.metrics.autocorrelation import (
 from repro.metrics.correlation import pearson
 from repro.metrics.error_stats import error_pdf, error_stats
 from repro.metrics.properties import entropy
+from repro.metrics.reductions import dot
 from repro.metrics.rate_distortion import rate_distortion
 from repro.metrics.ssim import SsimConfig, ssim3d
 
@@ -148,6 +149,13 @@ class TestAutocorrelationProperties:
         ac = series_autocorrelation(series, 5)
         assert ac[0] == 1.0
         assert np.all(np.abs(ac) <= 1.0 + 1e-9)
+        # the BLAS-free reduction behind the direct estimator agrees with
+        # the exactly rounded sum within the recursive-summation bound
+        for k in (0, 1, 5):
+            a, b = series[: series.size - k], series[k:]
+            exact = math.fsum(a * b)
+            bound = a.size * 2.3e-16 * math.fsum(np.abs(a * b))
+            assert abs(dot(a, b) - exact) <= bound
 
     @SETTINGS
     @given(fields, st.floats(0.1, 10.0), st.floats(-50.0, 50.0))

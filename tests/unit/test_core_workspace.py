@@ -8,7 +8,11 @@ through it so they stay the oracle these tests compare against.
 import numpy as np
 import pytest
 
-from repro.core.workspace import MetricWorkspace, finalize_rate_distortion
+from repro.core.workspace import (
+    MetricWorkspace,
+    ScratchPool,
+    finalize_rate_distortion,
+)
 from repro.errors import ConfigError, ShapeError
 from repro.kernels.pattern1 import Pattern1Config, execute_pattern1
 from repro.kernels.pattern2 import Pattern2Config, execute_pattern2
@@ -57,6 +61,13 @@ class TestWorkspaceVsReferences:
     def test_pearson(self, noisy_pair):
         ws = MetricWorkspace(*noisy_pair)
         assert ws.pearson() == pytest.approx(pearson(*noisy_pair), rel=1e-12)
+
+    def test_pearson_pooled_equals_unpooled(self, noisy_pair):
+        # one build for both: pooled buffers only change where the
+        # centred fields live, never the value
+        pooled = MetricWorkspace(*noisy_pair, scratch=ScratchPool()).pearson()
+        assert pooled == pytest.approx(pearson(*noisy_pair), rel=1e-9)
+        assert pooled == MetricWorkspace(*noisy_pair).pearson()
 
     def test_data_properties(self, noisy_pair):
         orig, dec = noisy_pair

@@ -9,9 +9,14 @@ of the fused implementation shows up as a drop in its speedup over the
 reference implementation measured on the same machine in the same run.
 Raw seconds are printed in the delta table for context but not gated.
 
-Baseline values are the medians over the committed runs with the same
-``--quick`` flag as the fresh run, which keeps one noisy historical
-entry from moving the gate.
+Every fresh value is itself the median of several timed repeats (see
+``bench_host_fusion.py``), and baseline values are the medians over the
+committed runs with the same ``--quick`` flag as the fresh run, which
+keeps one noisy historical entry from moving the gate.  A fresh value
+whose relative interquartile range (the ``<key>_iqr`` the bench writes
+next to it) exceeds the threshold is listed as noisy: the gate still
+applies to its median, and the flag says that the run cannot resolve a
+change of the threshold's size in that row.
 
 The process-executor sections additionally pass through an *absolute*
 core-aware gate (:func:`process_gate`): hosts with two or more usable
@@ -164,6 +169,28 @@ def audit_gate(fresh: dict) -> list[str]:
     return []
 
 
+def _spread(entry: dict, path: tuple[str, ...]) -> float | None:
+    """Relative IQR of the value at ``path``, if the run recorded one."""
+    value = _lookup(entry, path)
+    iqr = _lookup(entry, path[:-1] + (f"{path[-1]}_iqr",))
+    if value is None or iqr is None or value == 0.0:
+        return None
+    return iqr / abs(value)
+
+
+def noise_flags(fresh: dict, threshold: float) -> list[str]:
+    """Every recorded value whose relative IQR exceeds ``threshold``."""
+    flags = []
+    for label, path, _ in ROWS:
+        spread = _spread(fresh, path)
+        if spread is not None and spread > threshold:
+            flags.append(
+                f"{label}: IQR is {spread:.0%} of the median "
+                f"(threshold {threshold:.0%})"
+            )
+    return flags
+
+
 def _lookup(entry: dict, path: tuple[str, ...]) -> float | None:
     node = entry
     for key in path:
@@ -195,10 +222,12 @@ def compare(fresh: dict, baseline_runs: list[dict], threshold: float):
             continue
         base = statistics.median(base_vals)
         delta = (fresh_val - base) / base if base else 0.0
+        spread = _spread(fresh, path)
         row = {
             "metric": label,
             "baseline": f"{base:.4g}",
             "fresh": f"{fresh_val:.4g}",
+            "iqr": "-" if spread is None else f"{spread:.0%}",
             "delta": f"{delta:+.1%}",
             "gate": f"> {-threshold:.0%}" if gated else "(info)",
         }
@@ -244,6 +273,7 @@ def main(argv=None) -> int:
     failures += process_gate(fresh)
     failures += dispatch_gate(fresh)
     failures += audit_gate(fresh)
+    flags = noise_flags(fresh, args.threshold)
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     try:
@@ -254,6 +284,11 @@ def main(argv=None) -> int:
         for row in table:
             print(row)
 
+    if flags:
+        print("\nnoisy cases (median gated, spread too wide to resolve "
+              "the threshold):")
+        for flag in flags:
+            print(f"  - {flag}")
     if failures:
         print("\nperf regression gate FAILED:", file=sys.stderr)
         for failure in failures:
