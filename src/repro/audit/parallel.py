@@ -20,8 +20,12 @@ SIGKILL of the whole process tree at any instant leaves a resumable
 state: the main checkpoint holds the last merge, and any parts written
 after it are re-folded by the next run's resume scan.  Worker trace
 spans come home as picklable payloads and merge under the coordinator's
-root span with one lane per worker PID — the same chunk-granular
-``chunk_read`` spans the serial audit emits, now in parallel tracks.
+root span with one lane per worker PID — the same chunk-granular spans
+the serial audit emits, now in parallel tracks.  Per chunk those are
+``chunk_read`` (the bundle generator's step only: seek + read, inflate,
+digest verify), ``codec_compress`` and ``codec_decompress`` (the audited
+codec's round trip), the streaming checker's own ``chunk<i>`` update
+span, and ``checkpoint`` (the ``on_chunk`` callback: part-file write).
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ from repro.engine.tiling import TileAccumulator
 from repro.errors import CheckerError, ShapeError
 from repro.gpusim.memory import SmemFifo
 from repro.kernels.pattern1 import Pattern1Result, result_from_sums
-from repro.kernels.pattern3 import Pattern3Config, N_WINDOW_ACCUMS, _box_sums2d
-from repro.metrics.ssim import window_positions
+from repro.kernels.pattern3 import Pattern3Config, N_WINDOW_ACCUMS
+from repro.metrics.ssim import local_ssim, window_positions
+from repro.metrics.twod import box_sums_2d
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["StreamingChecker", "StreamingResult"]
@@ -192,11 +193,11 @@ class StreamingChecker:
         cfg = self.ssim_config
         slot = np.stack(
             [
-                _box_sums2d(o, cfg.window, cfg.step),
-                _box_sums2d(d, cfg.window, cfg.step),
-                _box_sums2d(o * o, cfg.window, cfg.step),
-                _box_sums2d(d * d, cfg.window, cfg.step),
-                _box_sums2d(o * d, cfg.window, cfg.step),
+                box_sums_2d(o, cfg.window, cfg.step),
+                box_sums_2d(d, cfg.window, cfg.step),
+                box_sums_2d(o * o, cfg.window, cfg.step),
+                box_sums_2d(d * d, cfg.window, cfg.step),
+                box_sums_2d(o * d, cfg.window, cfg.step),
             ]
         )
         self._fifo.push(k, slot)
@@ -209,15 +210,7 @@ class StreamingChecker:
         c1 = (cfg.k1 * L) ** 2
         c2 = (cfg.k2 * L) ** 2
         volume = float(cfg.window**3)
-        s1, s2, sq1, sq2, s12 = self._fifo.reduce()
-        mu1 = s1 / volume
-        mu2 = s2 / volume
-        var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-        var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-        cov = s12 / volume - mu1 * mu2
-        local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-            (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-        )
+        local = local_ssim(*self._fifo.reduce(), volume, c1, c2)
         self._ssim_total += float(local.sum())
         self._ssim_count += local.size
 

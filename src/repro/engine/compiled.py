@@ -232,7 +232,7 @@ def compiled_ssim_accumulate(
     :func:`repro.metrics.ssim.box_sums`, restructured as three nested
     sliding accumulations (z-window plane sums → y-window row sums →
     x-window scalars) that reuse two small buffers instead of five
-    full-size product arrays plus fifteen cumsums.  Returns
+    full-size product arrays plus fifteen prefix sums.  Returns
     ``(total, count, min_local, max_local)``.
     """
     nz, ny, nx = o.shape

@@ -29,7 +29,14 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.gpusim.counters import KernelStats
 from repro.gpusim.memory import SmemFifo
-from repro.metrics.ssim import SsimConfig, SsimResult, box_sums, window_positions
+from repro.metrics.ssim import (
+    SsimConfig,
+    SsimResult,
+    box_sums,
+    local_ssim,
+    window_positions,
+)
+from repro.metrics.twod import box_sums_2d
 
 __all__ = [
     "Pattern3Config",
@@ -235,20 +242,6 @@ def plan_pattern3(
 # ---------------------------------------------------------------------------
 
 
-def _box_sums2d(a: np.ndarray, window: int, step: int) -> np.ndarray:
-    """2-D windowed sums over (y, x) — the x-shuffle + y-smem stage."""
-    ny, nx = a.shape
-    sat = np.zeros((ny + 1, nx + 1), dtype=np.float64)
-    sat[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-    py = window_positions(ny, window, step)
-    px = window_positions(nx, window, step)
-    iy = np.arange(py) * step
-    ix = np.arange(px) * step
-    y0, y1 = iy[:, None], iy[:, None] + window
-    x0, x1 = ix[None, :], ix[None, :] + window
-    return sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
-
-
 def _execute_fused(workspace, config: Pattern3Config) -> Pattern3Result:
     """Sliding-sum SSIM over the workspace's cached element products.
 
@@ -269,20 +262,17 @@ def _execute_fused(workspace, config: Pattern3Config) -> Pattern3Result:
     volume = float(w**3)
 
     s1 = box_sums(workspace.o64, w, step)
-    s2 = box_sums(workspace.d64, w, step)
-    sq1 = box_sums(workspace.o_sq, w, step)
-    sq2 = box_sums(workspace.d_sq, w, step)
-    s12 = box_sums(workspace.od, w, step)
     if s1.size == 0:
         raise ShapeError("no complete SSIM window fits the data")
-
-    mu1 = s1 / volume
-    mu2 = s2 / volume
-    var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-    var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-    cov = s12 / volume - mu1 * mu2
-    local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-        (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+    local = local_ssim(
+        s1,
+        box_sums(workspace.d64, w, step),
+        box_sums(workspace.o_sq, w, step),
+        box_sums(workspace.d_sq, w, step),
+        box_sums(workspace.od, w, step),
+        volume,
+        c1,
+        c2,
     )
     return Pattern3Result(
         ssim=float(local.mean()),
@@ -343,25 +333,17 @@ def execute_pattern3(
         d = d64[k]
         slot = np.stack(
             [
-                _box_sums2d(o, w, step),
-                _box_sums2d(d, w, step),
-                _box_sums2d(o * o, w, step),
-                _box_sums2d(d * d, w, step),
-                _box_sums2d(o * d, w, step),
+                box_sums_2d(o, w, step),
+                box_sums_2d(d, w, step),
+                box_sums_2d(o * o, w, step),
+                box_sums_2d(d * d, w, step),
+                box_sums_2d(o * d, w, step),
             ]
         )
         fifo.push(k, slot)
         # a window ends at slice k iff k >= w-1 and its origin is on-step
         if k >= w - 1 and (k - w + 1) % step == 0:
-            s1, s2, sq1, sq2, s12 = fifo.reduce()
-            mu1 = s1 / volume
-            mu2 = s2 / volume
-            var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-            var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-            cov = s12 / volume - mu1 * mu2
-            local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-                (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-            )
+            local = local_ssim(*fifo.reduce(), volume, c1, c2)
             total += float(local.sum())
             count += local.size
             vmin = min(vmin, float(local.min()))

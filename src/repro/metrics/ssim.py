@@ -29,6 +29,7 @@ __all__ = [
     "ssim3d",
     "ssim3d_naive",
     "box_sums",
+    "local_ssim",
     "window_positions",
 ]
 
@@ -83,24 +84,32 @@ def window_positions(n: int, window: int, step: int) -> int:
     return (n - window) // step + 1
 
 
-def _axis_window_sums(a: np.ndarray, window: int, step: int, axis: int) -> np.ndarray:
-    """Sliding-window sums along one axis via a cumulative-sum difference."""
-    c = a.cumsum(axis=axis)
-    p = window_positions(a.shape[axis], window, step)
+def _window_sums_axis0(a: np.ndarray, out: np.ndarray, window: int, step: int) -> None:
+    """Window sums along axis 0 of ``a`` into ``out`` through a prefix ring.
 
-    def sl(s):
-        return tuple(s if ax == axis else slice(None) for ax in range(a.ndim))
-
-    if step == 1:
-        # pure views: out[i] = c[i+w-1] - c[i-1], first window needs no lo
-        out = c[sl(slice(window - 1, window - 1 + p))].copy()
-        out[sl(slice(1, p))] -= c[sl(slice(0, p - 1))]
-        return out
-    idx = np.arange(p) * step
-    out = np.take(c, idx + window - 1, axis=axis)
-    lo = np.take(c, idx[1:] - 1, axis=axis)
-    out[sl(slice(1, p))] -= lo
-    return out
+    The inclusive prefix sum ``P[k] = P[k-1] + a[k]`` is built one plane
+    at a time into a ring of the last ``window + 1`` planes, and each
+    window is emitted as ``out[i] = P[i*step + w - 1] - P[i*step - 1]``
+    (no lower term for the first) as soon as its last plane arrives.
+    ``add.accumulate`` is sequential, so the planes hold exactly the bits
+    ``np.cumsum(axis=0)`` gives; every add streams whole rows instead of
+    walking one strided column per remaining index, and no full-size
+    prefix array is ever allocated.
+    """
+    p = out.shape[0]
+    depth = window + 1
+    ring = np.empty((depth,) + a.shape[1:])
+    for k in range((p - 1) * step + window):
+        prefix = ring[k % depth]
+        if k == 0:
+            prefix[...] = a[0]
+        else:
+            np.add(ring[(k - 1) % depth], a[k], out=prefix)
+        i, r = divmod(k - window + 1, step)
+        if i == 0 and r == 0:
+            out[0] = prefix
+        elif i > 0 and r == 0:
+            np.subtract(prefix, ring[(k - window) % depth], out=out[i])
 
 
 def box_sums(a: np.ndarray, window: int, step: int) -> np.ndarray:
@@ -109,16 +118,90 @@ def box_sums(a: np.ndarray, window: int, step: int) -> np.ndarray:
     Returns an array of shape ``(pz, py, px)`` where ``p* =
     window_positions(n*, window, step)``; entry ``[i,j,k]`` is the sum of
     the ``window³`` cube whose origin is ``(i*step, j*step, k*step)``.
-    One cumsum + one subtraction per axis, with the array shrinking to
-    the window-position grid after each — cheaper than an 8-corner
+    One prefix sum + one subtraction per axis, with the array shrinking
+    to the window-position grid after each — cheaper than an 8-corner
     summed-area-table gather and still O(N) independent of window size.
+
+    z and y go through :func:`_window_sums_axis0` (plane by plane, then
+    row by row); x, the contiguous axis, is an in-place ``cumsum`` plus
+    one strided subtraction.  The result is bit-identical to a float64
+    ``cumsum`` + difference per axis, and ``a`` is never written.
     """
     if a.ndim != 3:
         raise ShapeError(f"box_sums expects a 3-D array, got {a.shape}")
-    out = a.astype(np.float64)
-    for axis in range(3):
-        out = _axis_window_sums(out, window, step, axis)
-    return out
+    _, ny, nx = a.shape
+    pz, py, px = (window_positions(n, window, step) for n in a.shape)
+    if min(pz, py, px) == 0:
+        return np.zeros((pz, py, px))
+    zs = np.empty((pz, ny, nx))
+    _window_sums_axis0(a, zs, window, step)
+    ys = np.empty((pz, py, nx))
+    _window_sums_axis0(zs.transpose(1, 0, 2), ys.transpose(1, 0, 2), window, step)
+    del zs
+    np.cumsum(ys, axis=2, out=ys)
+    xs = np.empty((pz, py, px))
+    xs[..., 0] = ys[..., window - 1]
+    np.subtract(
+        ys[..., window - 1 + step : window - 1 + step * px : step],
+        ys[..., step - 1 : step * (px - 1) : step],
+        out=xs[..., 1:],
+    )
+    return xs
+
+
+def local_ssim(
+    s1: np.ndarray,
+    s2: np.ndarray,
+    sq1: np.ndarray,
+    sq2: np.ndarray,
+    s12: np.ndarray,
+    volume: float,
+    c1: float,
+    c2: float,
+) -> np.ndarray:
+    """Per-window SSIM from the five window sums, computed in place.
+
+    ``s1``/``s2`` are the window sums of ``o``/``d``, ``sq1``/``sq2`` of
+    ``o²``/``d²`` and ``s12`` of ``o·d`` (equal shapes, float64).  All
+    five are overwritten; two more window-grid temporaries are allocated
+    and one of them is returned.  The operation order is that of
+
+        mu = s / volume;  var = max(sq / volume - mu*mu, 0)
+        cov = s12 / volume - mu1*mu2
+        ((2*mu1*mu2 + c1) * (2*cov + c2))
+            / ((mu1*mu1 + mu2*mu2 + c1) * (var1 + var2 + c2))
+
+    so the result is bit-identical to evaluating that expression.
+    """
+    mu1, mu2 = s1, s2
+    mu1 /= volume
+    mu2 /= volume
+    den = np.multiply(mu1, mu1)
+    tmp = np.multiply(mu2, mu2)
+    var1, var2, cov = sq1, sq2, s12
+    var1 /= volume
+    var1 -= den
+    np.maximum(var1, 0.0, out=var1)
+    var2 /= volume
+    var2 -= tmp
+    np.maximum(var2, 0.0, out=var2)
+    den += tmp
+    den += c1
+    np.multiply(mu1, mu2, out=tmp)
+    cov /= volume
+    cov -= tmp
+    var1 += var2
+    var1 += c2
+    den *= var1
+    num = tmp
+    np.multiply(mu1, 2, out=num)
+    num *= mu2
+    num += c1
+    cov *= 2
+    cov += c2
+    num *= cov
+    num /= den
+    return num
 
 
 def _prepare(
@@ -215,21 +298,16 @@ def ssim3d(
     o, d, c1, c2 = _prepare(orig, dec, config)
     w, step = config.window, config.step
     volume = float(w**3)
-    s1 = box_sums(o, w, step)
-    s2 = box_sums(d, w, step)
-    sq1 = box_sums(o * o, w, step)
-    sq2 = box_sums(d * d, w, step)
-    s12 = box_sums(o * d, w, step)
-
-    mu1 = s1 / volume
-    mu2 = s2 / volume
-    var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-    var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-    cov = s12 / volume - mu1 * mu2
-
-    num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
-    den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-    local = num / den
+    local = local_ssim(
+        box_sums(o, w, step),
+        box_sums(d, w, step),
+        box_sums(o * o, w, step),
+        box_sums(d * d, w, step),
+        box_sums(o * d, w, step),
+        volume,
+        c1,
+        c2,
+    )
     return SsimResult(
         ssim=float(local.mean()),
         min_window_ssim=float(local.min()),

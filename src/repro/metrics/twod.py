@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.metrics.derivatives import DerivativeComparison, field_comparison
-from repro.metrics.ssim import SsimConfig, SsimResult, window_positions
+from repro.metrics.ssim import SsimConfig, SsimResult, local_ssim, window_positions
 
 __all__ = [
     "box_sums_2d",
@@ -27,12 +27,12 @@ __all__ = [
 
 def box_sums_2d(a: np.ndarray, window: int, step: int = 1) -> np.ndarray:
     """Sliding-window sums of a 2-D array via a summed-area table."""
-    a = np.asarray(a)
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"box_sums_2d expects a 2-D array, got {a.shape}")
     ny, nx = a.shape
     sat = np.zeros((ny + 1, nx + 1), dtype=np.float64)
-    sat[1:, 1:] = a.astype(np.float64).cumsum(axis=0).cumsum(axis=1)
+    sat[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
     py = window_positions(ny, window, step)
     px = window_positions(nx, window, step)
     iy = np.arange(py) * step
@@ -69,19 +69,15 @@ def ssim2d(
     w, step = config.window, config.step
     volume = float(w**2)
 
-    s1 = box_sums_2d(o, w, step)
-    s2 = box_sums_2d(d, w, step)
-    sq1 = box_sums_2d(o * o, w, step)
-    sq2 = box_sums_2d(d * d, w, step)
-    s12 = box_sums_2d(o * d, w, step)
-
-    mu1 = s1 / volume
-    mu2 = s2 / volume
-    var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-    var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-    cov = s12 / volume - mu1 * mu2
-    local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-        (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+    local = local_ssim(
+        box_sums_2d(o, w, step),
+        box_sums_2d(d, w, step),
+        box_sums_2d(o * o, w, step),
+        box_sums_2d(d * d, w, step),
+        box_sums_2d(o * d, w, step),
+        volume,
+        c1,
+        c2,
     )
     return SsimResult(
         ssim=float(local.mean()),

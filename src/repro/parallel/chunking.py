@@ -30,7 +30,7 @@ from repro.errors import CheckerError, ShapeError
 from repro.core.streaming import StreamingResult
 from repro.kernels.pattern1 import result_from_sums
 from repro.kernels.pattern3 import Pattern3Config
-from repro.metrics.ssim import box_sums, window_positions
+from repro.metrics.ssim import box_sums, local_ssim, window_positions
 
 __all__ = ["z_chunks", "parallel_stream_field"]
 
@@ -137,22 +137,18 @@ def _slab_partials(
         w, step = ssim.window, ssim.step
         lo, hi = origins[0], origins[-1] + w
         ol, dl = o64[lo - z0 : hi - z0], d64[lo - z0 : hi - z0]
-        s1 = box_sums(ol, w, step)
-        s2 = box_sums(dl, w, step)
-        sq1 = box_sums(ol * ol, w, step)
-        sq2 = box_sums(dl * dl, w, step)
-        s12 = box_sums(ol * dl, w, step)
         L = float(ssim.dynamic_range)
         c1 = (ssim.k1 * L) ** 2
         c2 = (ssim.k2 * L) ** 2
-        volume = float(w**3)
-        mu1 = s1 / volume
-        mu2 = s2 / volume
-        var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-        var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-        cov = s12 / volume - mu1 * mu2
-        local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-            (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+        local = local_ssim(
+            box_sums(ol, w, step),
+            box_sums(dl, w, step),
+            box_sums(ol * ol, w, step),
+            box_sums(dl * dl, w, step),
+            box_sums(ol * dl, w, step),
+            float(w**3),
+            c1,
+            c2,
         )
         p["ssim_total"] = float(local.sum())
         p["ssim_count"] = int(local.size)

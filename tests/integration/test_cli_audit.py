@@ -62,6 +62,31 @@ class TestAuditCommand:
         assert len(reads) == report["totals"]["chunks"]
         assert all(e["args"]["bytes"] > 0 for e in reads)
 
+    def test_audit_trace_times_read_codec_and_checkpoint_apart(
+        self, chunked_tree, tmp_path, capsys
+    ):
+        out = tmp_path / "report.json"
+        trace = tmp_path / "trace.json"
+        rc = main([
+            "audit", str(chunked_tree), "--out", str(out),
+            "--checkpoint", str(tmp_path / "ck.json"),
+            "--trace", str(trace),
+        ])
+        assert rc == 0
+        n_chunks = json.loads(out.read_text())["totals"]["chunks"]
+        events = json.loads(trace.read_text())["traceEvents"]
+        by_name = {}
+        for e in events:
+            by_name.setdefault(e.get("name"), []).append(e)
+        for name in ("codec_compress", "codec_decompress", "checkpoint"):
+            assert len(by_name.get(name, [])) == n_chunks, name
+        # the read span holds no codec or checkpoint work
+        read_ids = {e["args"]["span_id"] for e in by_name["chunk_read"]}
+        for name in ("codec_compress", "codec_decompress", "checkpoint"):
+            assert all(
+                e["args"].get("parent_id") not in read_ids for e in by_name[name]
+            )
+
     def test_audit_resume_matches_uninterrupted(self, chunked_tree, tmp_path, capsys):
         ref = tmp_path / "ref.json"
         rc = main([

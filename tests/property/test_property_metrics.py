@@ -16,7 +16,13 @@ from repro.metrics.error_stats import error_pdf, error_stats
 from repro.metrics.properties import entropy
 from repro.metrics.reductions import dot
 from repro.metrics.rate_distortion import rate_distortion
-from repro.metrics.ssim import SsimConfig, ssim3d
+from repro.metrics.ssim import (
+    SsimConfig,
+    box_sums,
+    local_ssim,
+    ssim3d,
+    window_positions,
+)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -122,6 +128,88 @@ class TestSsimProperties:
             ssim3d(field, dec, cfg).ssim, ssim3d(dec, field, cfg).ssim,
             rel_tol=1e-9, abs_tol=1e-12,
         )
+
+
+def _cumsum_cascade(a, window, step):
+    """The original ``box_sums``: per axis a full ``cumsum`` followed by a
+    window difference, the array shrinking to the window grid each time."""
+    out = a.astype(np.float64)
+    for axis in range(3):
+        c = out.cumsum(axis=axis)
+        p = window_positions(out.shape[axis], window, step)
+
+        def sl(s, axis=axis):
+            return tuple(s if ax == axis else slice(None) for ax in range(3))
+
+        idx = np.arange(p) * step
+        out = np.take(c, idx + window - 1, axis=axis)
+        out[sl(slice(1, p))] -= np.take(c, idx[1:] - 1, axis=axis)
+    return out
+
+
+@st.composite
+def box_cases(draw):
+    """A 3-D array (any layout) plus a window and step that fit it."""
+    window = draw(st.integers(1, 8))
+    step = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(window, window + 5)) for _ in range(3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    layout = draw(st.sampled_from(["c", "transposed", "strided"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    if layout == "transposed":
+        a = rng.normal(scale=scale, size=shape[::-1]).astype(dtype).T
+    elif layout == "strided":
+        big = rng.normal(scale=scale, size=tuple(2 * n for n in shape))
+        a = big.astype(dtype)[::2, 1::2, ::2]
+    else:
+        a = rng.normal(scale=scale, size=shape).astype(dtype)
+    assert a.shape == shape
+    return a, window, step
+
+
+class TestBoxSumsProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(box_cases())
+    def test_equals_cumsum_cascade_bitwise(self, case):
+        a, window, step = case
+        got = box_sums(a, window, step)
+        ref = _cumsum_cascade(a, window, step)
+        assert got.shape == ref.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, ref)
+
+    @SETTINGS
+    @given(box_cases())
+    def test_never_writes_its_input(self, case):
+        a, window, step = case
+        before = a.copy()
+        box_sums(a, window, step)
+        assert np.array_equal(a, before)
+
+    @SETTINGS
+    @given(box_cases(), st.integers(0, 2**31 - 1))
+    def test_local_ssim_equals_expression_bitwise(self, case, seed):
+        a, window, step = case
+        o = a.astype(np.float64)
+        rng = np.random.default_rng(seed)
+        d = o + rng.normal(scale=0.1, size=o.shape)
+        sums = [box_sums(x, window, step) for x in (o, d, o * o, d * d, o * d)]
+        volume = float(window**3)
+        L = float(o.max() - o.min()) or 1.0
+        c1, c2 = (0.01 * L) ** 2, (0.03 * L) ** 2
+
+        s1, s2, sq1, sq2, s12 = sums
+        mu1 = s1 / volume
+        mu2 = s2 / volume
+        var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
+        var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
+        cov = s12 / volume - mu1 * mu2
+        ref = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
+            (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+        )
+        got = local_ssim(*[x.copy() for x in sums], volume, c1, c2)
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestAutocorrelationProperties:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from repro.core.workspace import MetricWorkspace
 from repro.errors import ShapeError
 from repro.kernels.pattern3 import (
     LANES,
     YROWS,
     Pattern3Config,
+    _execute_fused,
     execute_pattern3,
     plan_pattern3,
 )
@@ -118,3 +120,21 @@ class TestExecutePattern3:
     def test_as_dict(self, noisy_pair):
         result, _ = execute_pattern3(*noisy_pair, Pattern3Config(window=6))
         assert set(result.as_dict()) == {"ssim"}
+
+
+class TestFusedPath:
+    def test_leaves_workspace_unchanged(self, noisy_pair):
+        ws = MetricWorkspace(*noisy_pair)
+        keys = ("o64", "d64", "o_sq", "d_sq", "od")
+        before = {k: getattr(ws, k).copy() for k in keys}
+        moments = dict(ws.moments)
+        _execute_fused(ws, Pattern3Config(window=6, step=1))
+        for k in keys:
+            assert np.array_equal(getattr(ws, k), before[k]), k
+        assert ws.moments == moments
+
+    def test_fused_equals_reference_bitwise(self, noisy_pair):
+        cfg = Pattern3Config(window=6, step=2)
+        fused = _execute_fused(MetricWorkspace(*noisy_pair), cfg)
+        ref = ssim3d(*noisy_pair, cfg.ssim_config)
+        assert fused.as_ssim_result == ref
